@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet check bench-smoke bench-live bench-node bench-obs bench-offload bench-scale clean
+.PHONY: all build test race lint vet check bench-module bench-smoke bench-live bench-node bench-obs bench-offload bench-scale clean
 
 all: build
 
@@ -30,6 +30,11 @@ vet:
 	$(GO) vet ./...
 
 check: lint test
+
+# minosbench/ is a Go module of its own (it replaces the root module
+# with ../), so the root build and tests skip it; vet and test it here.
+bench-module:
+	cd minosbench && $(GO) vet ./... && $(GO) test ./...
 
 # Quick-scale sweep with the parallel runner; records per-figure wall
 # clock in BENCH_sweep.json (CI uploads it as the perf trajectory).

@@ -33,6 +33,13 @@ func TestRuntimesAgreeOnProtocolCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// Lin-REnf answers at consistency: the last write's follower
+			// persists and acknowledgments may still be in flight.
+			for _, nd := range live {
+				if err := nd.Quiesce(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var livePersists, liveInvs int64
 			for _, nd := range live {
 				livePersists += nd.Stats.Persists.Load()

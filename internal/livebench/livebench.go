@@ -236,9 +236,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	// Collect the unified snapshot before the deferred Close tears the
-	// cluster down. Same-named instruments from different nodes merge by
+	// Collect the unified snapshot once the trailing persists and acks
+	// have drained, and before the deferred Close tears the cluster
+	// down. Same-named instruments from different nodes merge by
 	// summing in Compact — the cluster-wide totals.
+	if err := lc.Quiesce(); err != nil && firstErr == nil {
+		firstErr = err
+	}
 	res.Obs = lc.Collect()
 	res.Spans = lc.Spans()
 	return res, firstErr

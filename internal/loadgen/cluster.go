@@ -81,6 +81,18 @@ func (lc *LiveCluster) Close() {
 	}
 }
 
+// Quiesce waits on every node's drain barrier (node.Quiesce), so a
+// counter read after the workload sees its trailing persists and
+// acknowledgments. Call it once the clients' operations have returned.
+func (lc *LiveCluster) Quiesce() error {
+	for _, nd := range lc.Nodes {
+		if err := nd.Quiesce(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Collect merges every node's and endpoint's instruments into one
 // snapshot (same-named instruments sum in Compact — cluster totals).
 func (lc *LiveCluster) Collect() *obs.Snapshot {

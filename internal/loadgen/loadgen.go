@@ -44,9 +44,10 @@ type Result struct {
 	Errs       int64 // StatusErr responses
 	Abandoned  int64 // still in flight when the drain grace expired
 
-	// Elapsed is the configured issue window; Throughput is Completed
-	// over it (stragglers completing during the drain grace count, as
-	// they were offered inside the window).
+	// Elapsed is the measured span from the first arrival's intended
+	// send to the last reply; Throughput is Completed over it. Past the
+	// knee the replies trail the issue window, so the span outgrows
+	// Load.Duration and Throughput falls below the offered rate.
 	Elapsed time.Duration
 
 	// IntendedWrite/IntendedRead are the coordinated-omission-safe
@@ -66,7 +67,7 @@ type Result struct {
 	Spans []obs.Span
 }
 
-// Throughput returns completed operations per second of issue window.
+// Throughput returns completed operations per second of measured span.
 func (r *Result) Throughput() float64 {
 	if r.Elapsed <= 0 {
 		return 0
@@ -110,6 +111,10 @@ type conn struct {
 	kind     []uint8
 
 	offered, shedWindow, shedSend int64
+	// firstAt is the first arrival's intended send (dispatcher-owned);
+	// lastReply is the latest reply's arrival (receiver-owned). Both
+	// are nanoseconds since the engine's start.
+	firstAt, lastReply int64
 }
 
 // engine aggregates the per-connection counters and the shared
@@ -209,18 +214,26 @@ func Run(cfg Config) (*Result, error) {
 	// Drain: give in-flight operations DrainGrace to complete, checking
 	// the free lists; whatever is still out afterwards is abandoned.
 	deadline := time.Now().Add(cfg.Load.DrainGrace)
-	for time.Now().Before(deadline) {
-		allFree := true
+	allFree := false
+	for !allFree && time.Now().Before(deadline) {
+		allFree = true
 		for _, c := range conns {
 			if len(c.free) != cap(c.free) {
 				allFree = false
 				break
 			}
 		}
-		if allFree {
-			break
+		if !allFree {
+			time.Sleep(2 * time.Millisecond)
 		}
-		time.Sleep(2 * time.Millisecond)
+	}
+	if allFree {
+		// Every operation answered: let the trailing persists and acks
+		// drain so the snapshot below counts them. A run with abandoned
+		// operations is snapshotted as it stands.
+		if err := lc.Quiesce(); err != nil {
+			return nil, err
+		}
 	}
 
 	res := &Result{
@@ -230,7 +243,6 @@ func Run(cfg Config) (*Result, error) {
 		Rate:    cfg.Load.Rate,
 		Clients: cfg.Load.Clients,
 		Conns:   cfg.Load.Conns,
-		Elapsed: cfg.Load.Duration,
 	}
 	res.Obs = lc.Collect()
 	res.Spans = lc.Spans()
@@ -239,10 +251,18 @@ func Run(cfg Config) (*Result, error) {
 	// counts (the receivers own their slots until then).
 	lc.Close()
 	rxWg.Wait()
+	first, last := int64(-1), int64(0)
 	for _, c := range conns {
 		res.Offered += c.offered
 		res.ShedWindow += c.shedWindow
 		res.ShedSend += c.shedSend
+		if c.offered > 0 && (first < 0 || c.firstAt < first) {
+			first = c.firstAt
+		}
+		last = max(last, c.lastReply)
+	}
+	if first >= 0 && last > first {
+		res.Elapsed = time.Duration(last - first)
 	}
 	res.Completed = e.completed.Load()
 	res.ShedNode = e.shedNode.Load()
@@ -284,6 +304,9 @@ func (e *engine) dispatcher(c *conn) {
 		at := c.sched.Next()
 		if at > durNs {
 			return
+		}
+		if c.offered == 0 {
+			c.firstAt = at
 		}
 		c.offered++
 
@@ -382,6 +405,7 @@ func (e *engine) receiver(c *conn) {
 			continue
 		}
 		now := time.Since(e.start).Nanoseconds()
+		c.lastReply = now
 		switch f.Resp.Status {
 		case transport.StatusOK:
 			e.completed.Add(1)

@@ -173,3 +173,46 @@ func TestCoordinatedOmissionAccounting(t *testing.T) {
 			r.IntendedWrite.MeanNs, r.ServiceWrite.MeanNs)
 	}
 }
+
+// TestOverloadedThroughputBelowOffered: past the knee the replies trail
+// the issue window, so throughput — completions over the measured span
+// from the first intended send to the last reply — must fall below the
+// offered rate instead of echoing it. Every arrival still completes
+// within the drain grace, so completions over the configured window
+// would report the full offered rate.
+func TestOverloadedThroughputBelowOffered(t *testing.T) {
+	cfg := Config{
+		Cluster: Cluster{
+			Nodes:        3,
+			Model:        ddp.LinSynch,
+			Fabric:       "mem",
+			PersistDelay: time.Millisecond,
+			ClientWindow: 1 << 16,
+		},
+		Load: Load{
+			Arrival:        "fixed",
+			Rate:           20000,
+			Duration:       100 * time.Millisecond,
+			Clients:        64,
+			Conns:          1,
+			Window:         8,
+			Seed:           3,
+			PreloadRecords: 64,
+			DrainGrace:     10 * time.Second,
+		},
+	}
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIdentity(t, r)
+	if r.Abandoned != 0 || r.Completed < r.Offered*9/10 {
+		t.Fatalf("the overload should delay, not lose, operations: %v", r)
+	}
+	if r.Elapsed <= cfg.Load.Duration {
+		t.Fatalf("measured span %v not beyond the %v issue window", r.Elapsed, cfg.Load.Duration)
+	}
+	if got := r.Throughput(); got >= cfg.Load.Rate/2 {
+		t.Fatalf("overloaded throughput %.0f op/s, want well below the offered %.0f", got, cfg.Load.Rate)
+	}
+}

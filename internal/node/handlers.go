@@ -34,6 +34,7 @@ func (n *Node) handleMessage(m ddp.Message) {
 }
 
 // handleInv is the Follower algorithm (Fig 2 L26-40, Fig 3 deltas).
+// Host executor lanes, the inline poller and NIC cores all run it.
 func (n *Node) handleInv(m ddp.Message) {
 	if !n.applyInv(m) {
 		return
@@ -55,11 +56,8 @@ func (n *Node) handleInv(m ddp.Message) {
 
 // applyInv is the volatile half of the Follower algorithm (Fig 2
 // L26-37): the obsolete checks, the RDLock snatch, the WRLock-guarded
-// publish. It is shared by the host path (handleInv) and the NIC path
-// (handleInvOffloaded), which differ only in how the persistency step
-// that follows is staged. A false return means the INV took the
-// obsolete path (the spawned spin owns the acknowledgment) or the node
-// closed mid-apply.
+// publish. A false return means the INV took the obsolete path (the
+// spawned spin owns the acknowledgment) or the node closed mid-apply.
 //
 //minos:hotpath
 func (n *Node) applyInv(m ddp.Message) bool {

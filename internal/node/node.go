@@ -73,8 +73,8 @@ type Config struct {
 	// Offload, when non-nil, enables the soft-NIC offload engine
 	// (MINOS-O): protocol messages for keys the adaptive policy deems
 	// hot are handled on the engine's core pool instead of the host
-	// dispatch path. The config's callback fields (Handler, Durable,
-	// HostFence, HostDrained, Now) are owned by the node and overwritten;
+	// dispatch path. The config's callback fields (Handler, HostFence,
+	// HostDrained, Now) are owned by the node and overwritten;
 	// set only the tuning knobs. &offload.Config{} selects all defaults.
 	Offload *offload.Config
 }
@@ -346,7 +346,6 @@ func New(cfg Config, tr transport.Transport) *Node {
 	if cfg.Offload != nil {
 		oc := *cfg.Offload
 		oc.Handler = n.handleOffloaded
-		oc.Durable = n.drainDurable
 		oc.Now = nil
 		if n.tracer.Enabled() {
 			oc.Now = n.tracer.Now
@@ -422,6 +421,37 @@ func (n *Node) Start() {
 	if n.off != nil {
 		n.off.Start()
 	}
+}
+
+// Quiesce is the node's drain barrier: it blocks until no write
+// transaction this node coordinates is pending and its durability
+// pipeline has drained, every durable acknowledgment sent. Models that
+// answer the client at consistency (Lin-REnf, Event) still have
+// acknowledgments and persists in flight when the client returns, so
+// call it after a workload and before reading counters. ErrClosed
+// means the node closed first.
+func (n *Node) Quiesce() error {
+	for wait := time.Microsecond; n.pendingTxns() > 0; wait = min(2*wait, time.Millisecond) {
+		if n.closed.Load() {
+			return ErrClosed
+		}
+		time.Sleep(wait)
+	}
+	if !n.pipe.Quiesce() {
+		return ErrClosed
+	}
+	return nil
+}
+
+// pendingTxns counts the in-flight write transactions across stripes.
+func (n *Node) pendingTxns() int {
+	total := 0
+	for _, s := range n.txns {
+		s.mu.Lock()
+		total += len(s.pending)
+		s.mu.Unlock()
+	}
+	return total
 }
 
 // Close shuts the node down, waking every blocked operation.

@@ -2,27 +2,24 @@ package node
 
 import (
 	"github.com/minos-ddp/minos/internal/ddp"
-	"github.com/minos-ddp/minos/internal/nvm"
 	"github.com/minos-ddp/minos/internal/obs"
 	"github.com/minos-ddp/minos/internal/offload"
 )
 
 // This file splices the soft-NIC offload engine (internal/offload)
-// into the live node: the routing gate on the delivery path, the NIC
-// handlers the engine's core pool runs, and the dFIFO sink that turns
-// staged follower persists into one group commit plus the
-// acknowledgment fan-out. The invariants the host path establishes
-// survive the split unchanged (DESIGN.md D13):
+// into the live node: the routing gate on the delivery path and the
+// NIC handlers the engine's core pool runs. The invariants the host
+// path establishes survive the split unchanged (DESIGN.md D13):
 //
 //   - Per-record ordering: a key is owned by exactly one side at a
 //     time, transfers are fenced on queue drain counts, and the NIC
 //     side routes by the same ddp.Key.Hash affinity as the host
 //     executor — so messages for one record are handled in transport
 //     order on whichever side owns it.
-//   - Persist-before-ack: the NIC ack path either rides the pipeline's
-//     synchronous inline append (zero-latency pipelines) or stages
-//     into the dFIFO, whose drain persists the whole batch — blocking
-//     until the group commit — before any acknowledgment is sent.
+//   - Persist-before-ack: a NIC core stages a follower persist exactly
+//     as the host does (persistThen): the entry joins its key's drain
+//     queue in the nvm pipeline — the dFIFO — and the drain engine
+//     sends the acknowledgment only after the batch's group commit.
 
 // offloadable reports whether m may be routed to the NIC pool: the
 // key-carrying protocol messages. Scope-control messages ([ACK_P]sc,
@@ -53,14 +50,14 @@ func (n *Node) handleOffloaded(m ddp.Message, enq int64) {
 	n.dispatchOffloaded(m)
 }
 
-// dispatchOffloaded is the NIC-side message switch. VAL handling is
-// identical on both sides; INV and ACK get NIC-specific halves.
+// dispatchOffloaded is the NIC-side message switch. INV and VAL
+// handling is identical on both sides; ACK gets a NIC-specific half.
 //
 //minos:hotpath
 func (n *Node) dispatchOffloaded(m ddp.Message) {
 	switch m.Kind {
 	case ddp.KindInv:
-		n.handleInvOffloaded(m)
+		n.handleInv(m)
 	case ddp.KindAck, ddp.KindAckC, ddp.KindAckP:
 		n.handleAckOffloaded(m)
 	case ddp.KindVal, ddp.KindValC, ddp.KindValP:
@@ -90,73 +87,6 @@ func (n *Node) handleOffloadedTraced(m ddp.Message, enq int64) {
 		Role: role, Phase: obs.PhaseNICHandle,
 		Start: start, End: n.tracer.Now(),
 	})
-}
-
-// handleInvOffloaded is handleInv on a NIC core: the same volatile
-// apply, but the persist-before-ack models stage their durability
-// through the engine's dFIFO (group persist, then ack) instead of the
-// per-entry pipeline continuation.
-func (n *Node) handleInvOffloaded(m ddp.Message) {
-	if !n.applyInv(m) {
-		return
-	}
-	switch n.policy.FollowerPersist {
-	case ddp.PersistBeforeAck: // Synch: persist (L39), combined ACK (L40)
-		n.nicPersistThen(m, ddp.KindAck)
-	case ddp.PersistAfterAckC: // Strict, REnf
-		n.sendAck(m, ddp.KindAckC)
-		n.nicPersistThen(m, ddp.KindAckP)
-	case ddp.PersistBackground: // Event
-		n.sendAck(m, ddp.KindAckC)
-		n.persistAsync(m.Key, m.TS, m.Value, m.Scope)
-	case ddp.PersistOnScopeFlush: // Scope
-		n.bufferScope(m.Scope, m.Key, m.TS, m.Value)
-		n.sendAck(m, ddp.KindAckC)
-	}
-}
-
-// nicPersistThen is the NIC-side persistThen: make (key, ts, value)
-// durable, then send kind to the coordinator. On a zero-latency
-// pipeline the append completes synchronously inside Enqueue, so the
-// acknowledgment follows directly; otherwise the entry stages into the
-// dFIFO and drainDurable sends the acknowledgment only after the
-// batch's group commit — persist-before-ack either way. A full dFIFO
-// (or a sampled transaction, which needs its continuation spans) falls
-// back to the host persist path.
-//
-//minos:hotpath
-func (n *Node) nicPersistThen(m ddp.Message, kind ddp.MsgKind) {
-	traced := n.tracer.Enabled() && n.tracer.SampleTxn(uint64(m.TS.Version))
-	if !traced && n.pipe.Inline() {
-		if n.pipe.Enqueue(m.Key, m.TS, m.Value, m.Scope, nil) {
-			n.send(m.From, ddp.Message{Kind: kind, Key: m.Key, TS: m.TS, Scope: m.Scope, Size: ddp.ControlSize()})
-		}
-		return
-	}
-	if traced || !n.off.StageDurable(m.Key, m.TS, m.Value, m.Scope, m.From, kind) {
-		n.persistThenQueued(m, kind, traced)
-	}
-}
-
-// drainDurable is the engine's dFIFO sink — the NIC-side group commit.
-// One PersistMany covers the whole staged batch and blocks until the
-// pipeline drains it (the durability point); only then does the
-// acknowledgment fan-out run, so no ack in the batch can outrun its
-// persist. False means the pipeline closed mid-drain (shutdown); the
-// unacknowledged writes are the recovery protocol's problem, exactly
-// as if the frames had been lost in flight.
-func (n *Node) drainDurable(batch []offload.DEntry) bool {
-	ups := make([]nvm.Update, len(batch))
-	for i, e := range batch {
-		ups[i] = nvm.Update{Key: e.Key, TS: e.TS, Value: e.Value, Scope: e.Scope}
-	}
-	if !n.pipe.PersistMany(ups) {
-		return false
-	}
-	for _, e := range batch {
-		n.send(e.To, ddp.Message{Kind: e.Kind, Key: e.Key, TS: e.TS, Scope: e.Scope, Size: ddp.ControlSize()})
-	}
-	return true
 }
 
 // handleAckOffloaded is handleAck on a NIC core plus the broadcast

@@ -362,3 +362,88 @@ func TestOffloadOverflowDemotesEndToEnd(t *testing.T) {
 		t.Fatalf("handled %d INVs, want %d", invs, total)
 	}
 }
+
+// TestOffloadedPersistBeforeAck plays the coordinator by hand against a
+// Lin-Strict follower whose offload engine takes the key on first
+// touch and whose group commit costs 5 ms. Every ACK_P must find its
+// entry already in the follower's log — whichever side handled the INV
+// — and same-key ACK_Ps must arrive in version order through a full
+// promote → overflow demote → re-promote cycle, because host and NIC
+// cores stage into the same per-key drain queue.
+func TestOffloadedPersistBeforeAck(t *testing.T) {
+	net := transport.NewMemNetwork(2)
+	client := net.Endpoint(0)
+	oc := &offload.Config{
+		Cores: 1, VFIFODepth: 1, Slots: 16,
+		InitialThreshold: 1, MinThreshold: 1, MaxThreshold: 1,
+		MaxPromotionsPerEpoch: 1 << 20,
+		CooldownEpochs:        2,
+		Epoch:                 -1,
+	}
+	n := NewWithOptions(net.Endpoint(1), WithModel(ddp.LinStrict),
+		WithPersistDelay(5*time.Millisecond), WithOffload(oc))
+	n.Start()
+	defer n.Close()
+
+	const key = ddp.Key(11)
+	const perRound = 200
+	sent, acked := 0, 0
+	deadline := time.After(30 * time.Second)
+	round := func() {
+		for i := 1; i <= perRound; i++ {
+			v := ddp.Version(sent + i)
+			m := ddp.Message{
+				Kind: ddp.KindInv, Key: key,
+				TS:    ddp.Timestamp{Node: 0, Version: v},
+				Value: []byte{byte(v)},
+				Size:  ddp.DataSize(1),
+			}
+			if err := client.Send(1, transport.Frame{Kind: transport.FrameMessage, Msg: m}); err != nil {
+				t.Fatalf("send INV v%d: %v", v, err)
+			}
+		}
+		sent += perRound
+		for acked < sent {
+			select {
+			case f, ok := <-client.Recv():
+				if !ok {
+					t.Fatal("client endpoint closed early")
+				}
+				if f.Kind != transport.FrameMessage || f.Msg.Kind != ddp.KindAckP {
+					continue
+				}
+				if !n.Log().LocallyDurable(key, f.Msg.TS) {
+					t.Fatalf("ACK_P v%d reached the coordinator before the follower's log held it",
+						f.Msg.TS.Version)
+				}
+				acked++
+				if want := ddp.Version(acked); f.Msg.TS.Version != want {
+					t.Fatalf("ACK_P %d carries version %d, want %d: same-key persists reordered",
+						acked, f.Msg.TS.Version, want)
+				}
+			case <-deadline:
+				t.Fatalf("timed out with %d/%d ACK_Ps", acked, sent)
+			}
+		}
+	}
+
+	// Rounds until the key overflowed its depth-1 vFIFO and a later
+	// round rode the NIC cores again. A round starts with the vFIFO
+	// drained, so NIC frames in a round that began after a demotion
+	// mean the key was promoted again. The demotion cooldown passes
+	// with manual epochs.
+	cycled := false
+	for r := 0; r < 20 && !cycled; r++ {
+		demoted := n.Offload().Demotions() > 0
+		nic := n.Offload().NICFrames()
+		round()
+		cycled = demoted && n.Offload().NICFrames() > nic
+		for i := uint32(0); i <= oc.CooldownEpochs; i++ {
+			n.Offload().Tick()
+		}
+	}
+	if !cycled {
+		t.Fatalf("no demote/re-promote cycle in %d INVs: %d promotions, %d demotions",
+			sent, n.Offload().Promotions(), n.Offload().Demotions())
+	}
+}

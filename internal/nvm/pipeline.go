@@ -48,6 +48,10 @@ type Pipeline struct {
 	stop   chan struct{}
 	closed atomic.Bool
 	wg     sync.WaitGroup
+	// unsettled counts queued entries whose batch has not finished
+	// draining: appended, hooks run, persisters woken. Quiesce waits
+	// for it to reach zero.
+	unsettled atomic.Int64
 
 	// Instruments live in one registry under "nvm.pipeline". The spin
 	// and park counters expose the drain engines' CPU model (DESIGN.md
@@ -264,6 +268,7 @@ func (p *Pipeline) enqueue(e batchEntry) (*drainBatch, uint64) {
 	g := b.gen.Load()
 	b.entries = append(b.entries, e)
 	b.bytes += len(e.value)
+	p.unsettled.Add(1)
 	q.mu.Unlock()
 	p.pending.Add(1)
 	select {
@@ -415,6 +420,22 @@ func (p *Pipeline) PersistMany(updates []Update) bool {
 	return true
 }
 
+// Quiesce is the pipeline's drain barrier: it blocks until every
+// update submitted before the call has drained — no queue holds an
+// entry, no batch is mid-drain, and the drained batches' hooks (OnBatch,
+// OnAck, continuations) have returned. False means the pipeline closed
+// first. Readers of counters call it after a workload; submitters
+// running concurrently can keep it waiting.
+func (p *Pipeline) Quiesce() bool {
+	for wait := time.Microsecond; p.unsettled.Load() != 0; wait = min(2*wait, time.Millisecond) {
+		if p.closed.Load() {
+			return false
+		}
+		time.Sleep(wait)
+	}
+	return true
+}
+
 // spinLatencyNs is the largest modeled device latency a drain engine
 // yield-spins through instead of parking on a runtime timer. Table II's
 // device writes are ~1.3 µs, but parking a goroutine on a timer costs
@@ -559,6 +580,7 @@ func (p *Pipeline) drain(q *drainQueue) bool {
 		b.gen.Add(1)
 		b.cond.Broadcast()
 		b.mu.Unlock()
+		p.unsettled.Add(-int64(len(b.entries)))
 
 		// Recycle: value buffers back on the free list, entries cleared
 		// (dropping value/closure references), batch parked as spare.

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -414,5 +415,39 @@ func TestPipelineInlineInstruments(t *testing.T) {
 	}
 	if s.Counter("nvm.pipeline.spin_charges")+s.Counter("nvm.pipeline.timer_parks") != 0 {
 		t.Fatal("inline path charged modeled latency")
+	}
+}
+
+// TestQuiesceWaitsForAcks: Quiesce returns only after every queued
+// entry drained and its OnAck hook returned, and reports a pipeline
+// that closed with entries still queued.
+func TestQuiesceWaitsForAcks(t *testing.T) {
+	const n = 40
+	var acked atomic.Int64
+	p := NewPipeline(NewLog(), PipelineConfig{
+		Lat:    LatencyModel{FixedNs: int64(20 * time.Millisecond)},
+		Drains: 2,
+		OnAck: func(ddp.NodeID, ddp.MsgKind, ddp.Key, ddp.Timestamp, ddp.ScopeID) {
+			time.Sleep(100 * time.Microsecond) // a slow hook is still part of the drain
+			acked.Add(1)
+		},
+	})
+	for i := 0; i < n; i++ {
+		p.EnqueueAck(ddp.Key(i), ts(0, 1), []byte("v"), 0, 1, ddp.KindAckP)
+	}
+	if !p.Quiesce() {
+		t.Fatal("Quiesce on an open pipeline reported closure")
+	}
+	if got := acked.Load(); got != n {
+		t.Fatalf("Quiesce returned with %d/%d acks dispatched", got, n)
+	}
+	if got := p.Entries(); got != n {
+		t.Fatalf("Quiesce returned with %d/%d entries drained", got, n)
+	}
+
+	p.EnqueueAck(1, ts(0, 2), []byte("v"), 0, 1, ddp.KindAckP)
+	p.Close()
+	if p.Quiesce() {
+		t.Fatal("Quiesce reported a drain the closed pipeline never finished")
 	}
 }

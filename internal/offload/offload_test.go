@@ -249,81 +249,11 @@ func TestPromotionFencesOnHostLane(t *testing.T) {
 	}
 }
 
-// TestStageDurableBatchesInOrder: staged persists reach the Durable
-// sink in order, with engine-owned value copies and the ack routing
-// fields intact; a full dFIFO rejects (host fallback) instead of
-// blocking.
-func TestStageDurableBatchesInOrder(t *testing.T) {
-	var mu sync.Mutex
-	var got []DEntry
-	sink := func(batch []DEntry) bool {
-		mu.Lock()
-		for _, e := range batch {
-			cp := e
-			cp.Value = append([]byte(nil), e.Value...)
-			got = append(got, cp)
-		}
-		mu.Unlock()
-		return true
-	}
-	e := New(Config{
-		Handler: func(ddp.Message, int64) {},
-		Durable: sink,
-		Epoch:   -1,
-	})
-	val := []byte("abc")
-	if !e.StageDurable(1, ddp.Timestamp{Node: 1, Version: 1}, val, 0, 2, ddp.KindAck) {
-		t.Fatal("stage 1 rejected")
-	}
-	val[0] = 'X' // the engine copied; the staged value must survive this
-	if !e.StageDurable(1, ddp.Timestamp{Node: 1, Version: 2}, []byte("def"), 7, 3, ddp.KindAckP) {
-		t.Fatal("stage 2 rejected")
-	}
-	e.Start()
-	defer e.Close()
-	waitFor(t, "dFIFO drain", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 2
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if string(got[0].Value) != "abc" || got[0].To != 2 || got[0].Kind != ddp.KindAck ||
-		got[0].TS.Version != 1 {
-		t.Fatalf("entry 0 mangled: %+v", got[0])
-	}
-	if string(got[1].Value) != "def" || got[1].Scope != 7 || got[1].To != 3 ||
-		got[1].Kind != ddp.KindAckP || got[1].TS.Version != 2 {
-		t.Fatalf("entry 1 mangled: %+v", got[1])
-	}
-}
-
-// TestStageDurableFullRejects: a full dFIFO returns false so the
-// caller can fall back to the host persist path.
-func TestStageDurableFullRejects(t *testing.T) {
-	e := New(Config{
-		Handler:    func(ddp.Message, int64) {},
-		Durable:    func([]DEntry) bool { return true },
-		DFIFODepth: 1,
-		Epoch:      -1,
-	})
-	// Unstarted: nothing drains, so the second stage must bounce.
-	if !e.StageDurable(1, ddp.Timestamp{Version: 1}, []byte("a"), 0, 0, ddp.KindAck) {
-		t.Fatal("first stage should fit")
-	}
-	if e.StageDurable(1, ddp.Timestamp{Version: 2}, []byte("b"), 0, 0, ddp.KindAck) {
-		t.Fatal("second stage should bounce off the full dFIFO")
-	}
-	e.Start()
-	e.Close()
-}
-
-// TestClosedEngineRoutesHost: after Close, Route and StageDurable both
-// refuse — everything falls back to the host path.
+// TestClosedEngineRoutesHost: after Close, Route refuses — everything
+// falls back to the host path.
 func TestClosedEngineRoutesHost(t *testing.T) {
 	e := New(Config{
 		Handler:          func(ddp.Message, int64) {},
-		Durable:          func([]DEntry) bool { return true },
 		InitialThreshold: 1, MinThreshold: 1, Epoch: -1,
 	})
 	e.Start()
@@ -331,9 +261,6 @@ func TestClosedEngineRoutesHost(t *testing.T) {
 	e.Close() // idempotent
 	if e.Route(msg(1, 1)) {
 		t.Fatal("closed engine must route host")
-	}
-	if e.StageDurable(1, ddp.Timestamp{Version: 1}, []byte("a"), 0, 0, ddp.KindAck) {
-		t.Fatal("closed engine must reject staging")
 	}
 }
 

@@ -156,6 +156,14 @@ func TestBroadcastEncodesOnce(t *testing.T) {
 			t.Fatalf("peer %d never received the broadcast", i)
 		}
 	}
+	// The writer counts a batch after its socket Write returns, which can
+	// be after the peer has already read it: wait for the count.
+	sent := func() int64 {
+		return obs.Collect(trs[0]).Counter("transport.frames_sent") - before.Counter("transport.frames_sent")
+	}
+	for deadline := time.Now().Add(5 * time.Second); sent() < n-1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	after := obs.Collect(trs[0])
 	if got := after.Counter("transport.encodes") - before.Counter("transport.encodes"); got != 1 {
 		t.Errorf("broadcast performed %d encodes, want exactly 1", got)
