@@ -2,6 +2,7 @@
 # CI (.github/workflows/ci.yml) runs exactly these targets.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build test race lint vet check bench-module bench-smoke bench-live bench-node bench-obs bench-offload bench-scale clean
 
@@ -26,8 +27,12 @@ race:
 lint: vet
 	$(GO) run ./cmd/minos-lint -sarif minos-lint.sarif ./...
 
+# vet also fails when gofmt would reformat any Go file outside the
+# vendored third_party/ tree.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files --cached --others --exclude-standard '*.go' | grep -v '^third_party/' | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 check: lint test
 

@@ -16,7 +16,6 @@
 // (comparable against baseline worktrees, whose benchnode predates the
 // fabric field — their rows read as mem), "ring" is the shared-memory
 // SPSC datapath, which also engages the nodes' run-to-completion mode.
-//
 package main
 
 import (

@@ -3,9 +3,10 @@
 // path and once with the soft-NIC offload engine enabled, across both
 // in-process fabrics (channel "mem" and shared-memory "ring"), a
 // uniform and a zipfian-skewed key distribution plus the hot-key-churn
-// adversary, and two persistency models that exercise both NIC persist
-// modes — Lin-Synch (persist-before-ack through the dFIFO) and
-// Lin-Strict (ack-then-persist with the NIC VAL_C broadcast FSM).
+// adversary, and two persistency models that exercise both follower
+// persist orders on the NIC cores — Lin-Synch (persist-before-ack
+// through the dFIFO) and Lin-Strict (ACK_C first, then the persist
+// and its ACK_P).
 //
 // Results merge into one JSON file under "before" (MINOS-B) and
 // "after" (MINOS-O), the repo's standard bench comparison shape:

@@ -139,12 +139,12 @@ type liveResult struct {
 	Write          stats.Report `json:"write"`
 	Read           stats.Report `json:"read"`
 	FramesSent     int64        `json:"frames_sent"`
-	BatchesSent    int64   `json:"batches_sent"`
-	FramesPerBatch float64 `json:"frames_per_batch"`
-	BytesSent      int64   `json:"bytes_sent"`
-	Broadcasts     int64   `json:"broadcasts"`
-	Encodes        int64   `json:"encodes"`
-	Redials        int64   `json:"redials"`
+	BatchesSent    int64        `json:"batches_sent"`
+	FramesPerBatch float64      `json:"frames_per_batch"`
+	BytesSent      int64        `json:"bytes_sent"`
+	Broadcasts     int64        `json:"broadcasts"`
+	Encodes        int64        `json:"encodes"`
+	Redials        int64        `json:"redials"`
 	// Snapshot is the full unified observability tree (node, pipeline,
 	// transport); the flat wire fields above are kept for historical
 	// diffing against committed BENCH_live.json baselines.

@@ -145,7 +145,7 @@ type clientServer struct {
 //	SCOPE                     -> OK <scope-id>
 //	PERSIST <scope-id>        -> OK | ERR <msg>
 //	STATS                     -> OK <json snapshot> (one obs.Snapshot: node, pipeline, wire)
-func (cs *clientServer) serve(ln net.Listener, n *node.Node, ts transport.StatsSource) {
+func (cs *clientServer) serve(ln net.Listener, n *node.Node, ts obs.Source) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -205,7 +205,7 @@ func (cs *clientServer) shutdown() {
 // handleCommand answers one protocol line. ts supplies the transport's
 // wire instruments for STATS; nil is allowed (the snapshot then holds
 // only the node's own layers).
-func handleCommand(n *node.Node, ts transport.StatsSource, line string) string {
+func handleCommand(n *node.Node, ts obs.Source, line string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return "ERR empty command"

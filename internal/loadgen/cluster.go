@@ -48,7 +48,6 @@ func StartCluster(cl Cluster, ob Observe, off Offload, clientConns int) (*LiveCl
 			node.WithDispatchWorkers(cl.DispatchWorkers),
 			node.WithPersistDrains(cl.PersistDrains),
 			node.WithTracer(lc.Tracers[i]),
-			node.WithRTC(cl.RTC),
 		}
 		if clientConns > 0 {
 			window := cl.ClientWindow
@@ -101,7 +100,7 @@ func (lc *LiveCluster) Collect() *obs.Snapshot {
 		nd.Collect(snap)
 	}
 	for _, ep := range lc.Eps {
-		if src, ok := ep.(transport.StatsSource); ok {
+		if src, ok := ep.(obs.Source); ok {
 			src.Collect(snap)
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/minos-ddp/minos/internal/ddp"
-	"github.com/minos-ddp/minos/internal/node"
 	"github.com/minos-ddp/minos/internal/offload"
 	"github.com/minos-ddp/minos/internal/workload"
 )
@@ -43,8 +42,6 @@ type Cluster struct {
 	// fabric, the default), "ring" (shared-memory SPSC rings with
 	// inline polling), or "tcp" (loopback TCP mesh).
 	Fabric string
-	// RTC overrides the nodes' run-to-completion mode (default: auto).
-	RTC node.RTCMode
 	// ClientWindow bounds each node's remote-client admission queue;
 	// requests beyond it are shed with StatusShed. Zero picks the
 	// loadgen default (1024) when client connections exist.

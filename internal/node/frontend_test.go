@@ -132,7 +132,7 @@ func TestClientFrontendOverRingRTC(t *testing.T) {
 	cluster := make([]*Node, nodes)
 	for i := 0; i < nodes; i++ {
 		cluster[i] = New(Config{
-			Model: ddp.LinSynch, RTC: RTCEnabled, ClientWindow: 64, ClientWorkers: 2,
+			Model: ddp.LinSynch, RTC: RTCAuto, ClientWindow: 64, ClientWorkers: 2,
 		}, net.Endpoint(ddp.NodeID(i)))
 		cluster[i].Start()
 	}

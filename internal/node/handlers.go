@@ -5,11 +5,12 @@ import (
 	"github.com/minos-ddp/minos/internal/kv"
 )
 
-// handleMessage dispatches one inbound protocol message. It runs on a
-// key-affine executor worker, so messages for one record arrive here in
-// transport order; handlers must not block on conditions that only a
-// later same-key message can satisfy (the obsolete spins are punted to
-// their own goroutines for exactly that reason).
+// handleMessage dispatches one inbound protocol message. Every
+// placement calls it: a key-affine executor lane, the run-to-completion
+// poller, or a NIC core of the offload engine. Each runs one record's
+// messages in transport order, so handlers must not block on conditions
+// that only a later same-key message can satisfy (the obsolete spins
+// are punted to their own goroutines for exactly that reason).
 func (n *Node) handleMessage(m ddp.Message) {
 	switch m.Kind {
 	case ddp.KindInv:
@@ -90,7 +91,7 @@ func (n *Node) applyInv(m ddp.Message) bool {
 	}
 
 	r.Publish(m.Value, m.TS) // L34-35: update LLC (seqlocked)
-	r.Meta.WRLock = false // L36
+	r.Meta.WRLock = false    // L36
 	r.Wake()
 	r.Unlock()
 	return true
@@ -173,7 +174,6 @@ func (n *Node) sendAck(m ddp.Message, kind ddp.MsgKind) {
 // the two are held together.
 //
 //minos:lockorder node.txnStripe.mu < node.writeTxn.mu
-//
 //minos:hotpath
 func (n *Node) handleAck(m ddp.Message) {
 	s := n.stripeFor(m.Key)
@@ -209,18 +209,24 @@ func (n *Node) handleAck(m ddp.Message) {
 //
 //minos:hotpath
 func (n *Node) ackWaitSatisfiable(wt *writeTxn) bool {
-	doneC, doneP := true, true
+	return n.allAcked(wt, false) || n.allAcked(wt, true)
+}
+
+// allAcked reports whether every live follower acknowledged the
+// update's persistency (persist) or its consistency (!persist).
+// Followers the detector declared dead are not waited for. Caller
+// holds wt.mu.
+//
+//minos:hotpath
+func (n *Node) allAcked(wt *writeTxn, persist bool) bool {
 	for _, f := range wt.followers {
-		if !n.isAlive(f) {
-			continue
+		var acked bool
+		if persist {
+			acked = wt.txn.AckedP(f)
+		} else {
+			acked = wt.txn.AckedC(f)
 		}
-		if doneC && !wt.txn.AckedC(f) {
-			doneC = false
-		}
-		if doneP && !wt.txn.AckedP(f) {
-			doneP = false
-		}
-		if !doneC && !doneP {
+		if !acked && n.isAlive(f) {
 			return false
 		}
 	}

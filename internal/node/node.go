@@ -87,9 +87,6 @@ const (
 	// supports inline polling, and falls back to the executor-lane
 	// dispatch otherwise.
 	RTCAuto RTCMode = iota
-	// RTCEnabled requires inline dispatch (still falls back if the
-	// transport cannot poll inline).
-	RTCEnabled
 	// RTCDisabled always uses the parked executor-lane dispatch, even
 	// over transports that could poll inline.
 	RTCDisabled
@@ -112,11 +109,6 @@ type writeTxn struct {
 	followers []ddp.NodeID
 	ackCn     atomic.Int32
 	ackPn     atomic.Int32
-	// valCSent deduplicates the consistency-point VAL_C broadcast
-	// between the writer and the offload engine's broadcast FSM
-	// (handleAckOffloaded): whichever observes the quorum first wins
-	// the CAS and fans out; the other skips.
-	valCSent atomic.Bool
 }
 
 // wtPool recycles writeTxn state (including the WriteTxn ack maps, via
@@ -139,7 +131,6 @@ func (n *Node) getWriteTxn(key ddp.Key, ts ddp.Timestamp, followers []ddp.NodeID
 	wt.txn.Reset(n.policy, n.id, key, ts, len(followers))
 	wt.ackCn.Store(0)
 	wt.ackPn.Store(0)
-	wt.valCSent.Store(false)
 	return wt
 }
 
@@ -519,60 +510,50 @@ func (n *Node) collectWaiters() ([]*writeTxn, []*scopePersist) {
 	return pending, scopes
 }
 
-// recvLoop routes inbound frames: protocol messages to the key-affine
-// executor, recovery to its own (rare) goroutine, heartbeats inline.
+// recvLoop feeds the executor-lane placement: every inbound frame
+// goes through handleFrame on this one delivery goroutine.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
 	defer n.exec.closeQueues()
 	for f := range n.tr.Recv() {
-		n.noteAlive(f.From)
-		switch f.Kind {
-		case transport.FrameMessage:
-			// Offload gate: hot keys route to the soft-NIC pool; Route
-			// runs on this single delivery goroutine, which is what
-			// keeps the per-key ownership transitions ordered.
-			if n.off != nil && offloadable(f.Msg) && n.off.Route(f.Msg) {
-				continue
-			}
-			n.exec.dispatch(f.Msg)
-		case transport.FrameHeartbeat:
-			// noteAlive above is the whole job.
-		case transport.FrameClientRequest:
-			n.admitClient(f)
-		case transport.FrameRecoveryRequest:
-			n.spawnRecovery(f.From, f.Since)
-		case transport.FrameRecoveryEntries:
-			n.applyRecovery(f.Entries)
-		}
+		n.handleFrame(f)
 	}
 }
 
-// handleFrame is the run-to-completion frame sink: it runs on whichever
+// handleFrame is the node's one frame sink. It runs on a single
+// delivery goroutine: recvLoop, or in run-to-completion mode whichever
 // goroutine holds the transport's poll token (the endpoint's poller or
-// a coordinator polling inline during its ack wait) and drives each
-// protocol message through its handler with no executor hand-off.
-// Frame values may borrow transport storage; every retaining path
-// (record apply, scope buffer, log append) copies before parking or
-// returning, so nothing outlives the callback.
+// a coordinator polling inline during its ack wait). Protocol messages
+// go to the offload engine when their key is hot, otherwise to
+// handleMessage inline (run to completion, no hand-off) or to the
+// key-affine executor lanes. Frame values may borrow transport storage;
+// every retaining path (record apply, scope buffer, log append, NIC
+// admission) copies before parking or returning, so nothing outlives
+// the callback.
 //
 //minos:hotpath
 func (n *Node) handleFrame(f transport.Frame) {
 	n.noteAlive(f.From)
 	switch f.Kind {
 	case transport.FrameMessage:
-		// Offload gate: only the poll-token holder reaches here, so
-		// Route's single-caller contract holds in RTC mode too. The
-		// engine copies the (borrowed) frame value at admission.
+		// Offload gate: Route runs on the single delivery goroutine,
+		// which is what keeps the per-key ownership transitions
+		// ordered.
 		if n.off != nil && offloadable(f.Msg) && n.off.Route(f.Msg) {
 			return
 		}
-		n.handleMessage(f.Msg)
+		if n.inline {
+			n.handleMessage(f.Msg)
+		} else {
+			n.exec.dispatch(f.Msg)
+		}
 	case transport.FrameHeartbeat:
 		// noteAlive above is the whole job.
 	case transport.FrameClientRequest:
-		// NEVER execute the operation here: this goroutine holds the
-		// poll token, and a client op waiting for its own acks would
-		// deadlock against it. admitClient only enqueues (or sheds).
+		// NEVER execute the operation here: in run-to-completion mode
+		// this goroutine holds the poll token, and a client op waiting
+		// for its own acks would deadlock against it. admitClient only
+		// enqueues (or sheds).
 		n.admitClient(f)
 	case transport.FrameRecoveryRequest:
 		n.spawnRecovery(f.From, f.Since)
@@ -667,7 +648,7 @@ func (n *Node) liveFollowers() []ddp.NodeID {
 }
 
 // isAlive is a lock-free read of the published liveness snapshot; it
-// sits inside the waitConsistency/waitPersistency spin predicates.
+// sits inside the waitAcks predicate.
 func (n *Node) isAlive(id ddp.NodeID) bool {
 	return n.live.Load().alive[id]
 }
@@ -710,26 +691,21 @@ func (n *Node) persist(key ddp.Key, ts ddp.Timestamp, value []byte, sc ddp.Scope
 // persistThen pipelines the update and sends kind to the coordinator
 // once the group commit containing it has drained — the follower's
 // persist-before-ack step (Fig 2 L39-40) without parking an executor
-// worker for the NVM latency. The continuation runs on the drain
-// engine strictly after the log append, so the acknowledgment can
-// never outrun durability.
+// worker or NIC core for the NVM latency. The untraced case rides the
+// pipeline's ack fields (EnqueueAck → sendDurableAck), allocating
+// nothing; the acknowledgment runs strictly after the log append, so
+// it can never outrun durability.
+//
 //minos:hotpath
 func (n *Node) persistThen(m ddp.Message, kind ddp.MsgKind) {
-	to, key, ts, sc := m.From, m.Key, m.TS, m.Scope
 	// Followers have no coordinator transaction sequence; the sampling
 	// decision hashes the issued version instead, so a sampled run pays
 	// the follower-side clock reads at the same 1-in-N rate.
-	traced := n.tracer.Enabled() && n.tracer.SampleTxn(uint64(ts.Version))
-	if !traced && n.pipe.Inline() {
-		// Zero-latency pipeline: the append completes synchronously in
-		// Enqueue, so the acknowledgment can follow directly — the
-		// persist-before-ack order holds with no continuation closure.
-		if n.pipe.Enqueue(key, ts, m.Value, sc, nil) {
-			n.send(to, ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()})
-		}
+	if n.tracer.Enabled() && n.tracer.SampleTxn(uint64(m.TS.Version)) {
+		n.pipe.Enqueue(m.Key, m.TS, m.Value, m.Scope, n.tracedAck(m, kind))
 		return
 	}
-	n.persistThenQueued(m, kind, traced)
+	n.pipe.EnqueueAck(m.Key, m.TS, m.Value, m.Scope, m.From, kind)
 }
 
 // sendDurableAck is the pipeline's OnAck hook: it ships the durable
@@ -742,42 +718,29 @@ func (n *Node) sendDurableAck(to ddp.NodeID, kind ddp.MsgKind, key ddp.Key, ts d
 	n.send(to, ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()})
 }
 
-// persistThenQueued is the queued-pipeline (or traced) half of
-// persistThen. The untraced common case rides the pipeline's ack
-// fields (EnqueueAck → sendDurableAck), allocating nothing; only a
-// sampled transaction pays for a continuation closure, which is what
-// lets it wrap the acknowledgment in trace spans.
-func (n *Node) persistThenQueued(m ddp.Message, kind ddp.MsgKind, traced bool) {
+// tracedAck builds persistThen's continuation for a sampled update:
+// it wraps the follower's durability wait and the acknowledgment that
+// follows it in two chained spans. The persist (group_commit) span
+// always closes before the ack (val) span opens, which the trace
+// ordering tests pin as the persist-before-ack invariant. Followers
+// have no transaction id; spans correlate by (Key, Ver).
+func (n *Node) tracedAck(m ddp.Message, kind ddp.MsgKind) func() {
 	to, key, ts, sc := m.From, m.Key, m.TS, m.Scope
-	if !traced {
-		n.pipe.EnqueueAck(key, ts, m.Value, sc, to, kind)
-		return
-	}
 	start := n.tracer.Now()
-	n.pipe.Enqueue(key, ts, m.Value, sc, func() {
-		// The follower's durability wait and the acknowledgment that
-		// follows it, as two chained spans: the persist (group_commit)
-		// span always closes before the ack (val) span opens, which the
-		// trace ordering tests pin as the persist-before-ack invariant.
-		// Followers have no transaction id; spans correlate by (Key, Ver).
-		var ackStart int64
-		if traced {
-			ackStart = n.tracer.Now()
-			n.tracer.Record(obs.Span{
-				Key: uint64(key), Ver: int64(ts.Version), Node: int32(n.id),
-				Role: obs.RoleFollower, Phase: obs.PhaseGroupCommit,
-				Start: start, End: ackStart,
-			})
-		}
+	return func() {
+		ackStart := n.tracer.Now()
+		n.tracer.Record(obs.Span{
+			Key: uint64(key), Ver: int64(ts.Version), Node: int32(n.id),
+			Role: obs.RoleFollower, Phase: obs.PhaseGroupCommit,
+			Start: start, End: ackStart,
+		})
 		n.send(to, ddp.Message{Kind: kind, Key: key, TS: ts, Scope: sc, Size: ddp.ControlSize()})
-		if traced {
-			n.tracer.Record(obs.Span{
-				Key: uint64(key), Ver: int64(ts.Version), Node: int32(n.id),
-				Role: obs.RoleFollower, Phase: obs.PhaseVal,
-				Start: ackStart, End: n.tracer.Now(),
-			})
-		}
-	})
+		n.tracer.Record(obs.Span{
+			Key: uint64(key), Ver: int64(ts.Version), Node: int32(n.id),
+			Role: obs.RoleFollower, Phase: obs.PhaseVal,
+			Start: ackStart, End: n.tracer.Now(),
+		})
+	}
 }
 
 // persistAsync pipelines the update with no completion action (Event's

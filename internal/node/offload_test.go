@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -164,7 +165,7 @@ func TestOffloadRTCLinearizable(t *testing.T) {
 			nodes := make([]*Node, 3)
 			for i := range nodes {
 				nodes[i] = NewWithOptions(net.Endpoint(ddp.NodeID(i)),
-					WithModel(model), WithRTC(RTCEnabled),
+					WithModel(model), WithRTC(RTCAuto),
 					WithOffload(offloadTestConfig()))
 				nodes[i].Start()
 			}
@@ -445,5 +446,118 @@ func TestOffloadedPersistBeforeAck(t *testing.T) {
 	if !cycled {
 		t.Fatalf("no demote/re-promote cycle in %d INVs: %d promotions, %d demotions",
 			sent, n.Offload().Promotions(), n.Offload().Demotions())
+	}
+}
+
+// kindCounter is a Transport wrapper that tallies outbound protocol
+// frames by message kind; a Broadcast counts once per peer it reaches.
+type kindCounter struct {
+	transport.Transport
+	mu    sync.Mutex
+	kinds map[ddp.MsgKind]int
+}
+
+func (c *kindCounter) note(f transport.Frame, copies int) {
+	if f.Kind != transport.FrameMessage {
+		return
+	}
+	c.mu.Lock()
+	c.kinds[f.Msg.Kind] += copies
+	c.mu.Unlock()
+}
+
+func (c *kindCounter) Send(to ddp.NodeID, f transport.Frame) error {
+	c.note(f, 1)
+	return c.Transport.Send(to, f)
+}
+
+func (c *kindCounter) Broadcast(f transport.Frame) error {
+	c.note(f, len(c.Peers()))
+	return c.Transport.Broadcast(f)
+}
+
+func (c *kindCounter) tally() map[ddp.MsgKind]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[ddp.MsgKind]int, len(c.kinds))
+	for k, v := range c.kinds {
+		out[k] = v
+	}
+	return out
+}
+
+// TestPlacementsAgreeOnMessageCounts pins that offload changes only
+// where a protocol step runs, not what it sends: serial writes from
+// one coordinator put exactly the same messages on the wire whether
+// every message runs on the host or the NIC cores carry every key.
+// Per write and follower that is one INV, one VAL_C when the model
+// validates at consistency, and one durable VAL when it has one.
+func TestPlacementsAgreeOnMessageCounts(t *testing.T) {
+	const nodes, writes = 3, 40
+	run := func(t *testing.T, model ddp.Model, offloaded bool) (map[ddp.MsgKind]int, int64) {
+		t.Helper()
+		net := transport.NewMemNetwork(nodes)
+		counter := &kindCounter{Transport: net.Endpoint(0), kinds: make(map[ddp.MsgKind]int)}
+		cluster := make([]*Node, nodes)
+		for i := range cluster {
+			var tr transport.Transport = net.Endpoint(ddp.NodeID(i))
+			if i == 0 {
+				tr = counter
+			}
+			opts := []Option{WithModel(model)}
+			if offloaded {
+				opts = append(opts, WithOffload(offloadTestConfig()))
+			}
+			cluster[i] = NewWithOptions(tr, opts...)
+			cluster[i].Start()
+		}
+		defer func() {
+			for _, nd := range cluster {
+				nd.Close()
+			}
+		}()
+		for i := 0; i < writes; i++ {
+			if err := cluster[0].Write(ddp.Key(i%4), []byte{byte(i)}); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+		}
+		for _, nd := range cluster {
+			if err := nd.Quiesce(); err != nil {
+				t.Fatalf("quiesce: %v", err)
+			}
+		}
+		var nic int64
+		if off := cluster[0].Offload(); off != nil {
+			nic = off.NICFrames()
+		}
+		return counter.tally(), nic
+	}
+
+	for _, model := range ddp.Models {
+		model := model
+		t.Run(model.String(), func(t *testing.T) {
+			t.Parallel()
+			policy := ddp.PolicyFor(model)
+			perKind := writes * (nodes - 1)
+			want := map[ddp.MsgKind]int{ddp.KindInv: perKind}
+			if policy.SendsValAtConsistency() {
+				want[ddp.KindValC] += perKind
+			}
+			if kind, ok := policy.DurableValKind(); ok {
+				want[kind] += perKind
+			}
+
+			host, _ := run(t, model, false)
+			nic, nicFrames := run(t, model, true)
+			if nicFrames == 0 {
+				t.Fatal("offload run handled no frames on the coordinator's NIC cores")
+			}
+			if !maps.Equal(host, want) {
+				t.Errorf("host placement sent %v, want %v", host, want)
+			}
+			if !maps.Equal(nic, host) {
+				t.Errorf("NIC placement sent %v, host placement %v", nic, host)
+			}
+		})
 	}
 }

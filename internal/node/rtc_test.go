@@ -50,9 +50,9 @@ func TestRingClusterReplicates(t *testing.T) {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, rtc := range []RTCMode{RTCEnabled, RTCDisabled} {
+			for _, rtc := range []RTCMode{RTCAuto, RTCDisabled} {
 				nodes := newRingCluster(t, 3, model, rtc, nil)
-				wantInline := rtc == RTCEnabled
+				wantInline := rtc != RTCDisabled
 				for _, nd := range nodes {
 					if nd.inline != wantInline {
 						t.Fatalf("rtc=%v: node %d inline=%v, want %v",
@@ -78,7 +78,7 @@ func TestRTCLinearizableEquivalence(t *testing.T) {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, rtc := range []RTCMode{RTCEnabled, RTCDisabled} {
+			for _, rtc := range []RTCMode{RTCAuto, RTCDisabled} {
 				rtcName := "rtc"
 				if rtc == RTCDisabled {
 					rtcName = "parked"
@@ -253,7 +253,7 @@ func TestRTCTraceEquivalence(t *testing.T) {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			t.Parallel()
-			fast := coordPhaseSeqs(t, ringTraceRun(t, model, RTCEnabled))
+			fast := coordPhaseSeqs(t, ringTraceRun(t, model, RTCAuto))
 			parked := coordPhaseSeqs(t, ringTraceRun(t, model, RTCDisabled))
 			if len(fast) == 0 {
 				t.Fatal("no coordinator transactions traced")

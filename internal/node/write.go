@@ -90,7 +90,7 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 	n.sendAll(followers, inv) // L11: send INVs (broadcast when all alive)
 	tc.mark(obs.PhaseInvFanout)
 
-	r.Publish(value, ts) // L12: update local volatile state (seqlocked)
+	r.Publish(value, ts)  // L12: update local volatile state (seqlocked)
 	r.Meta.WRLock = false // L13
 	r.Wake()
 	r.Unlock()
@@ -119,7 +119,7 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 	}
 
 	// Step e: spin for consistency acknowledgments.
-	if err := n.waitConsistencyFast(wt); err != nil {
+	if err := n.waitAcks(wt, false); err != nil {
 		n.removePending(key, ts)
 		return err
 	}
@@ -133,12 +133,7 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 	}
 	r.Unlock()
 	if n.policy.SendsValAtConsistency() {
-		// With offload enabled the NIC's broadcast FSM may have fanned
-		// VAL_C out already (handleAckOffloaded, on the final ack); the
-		// CAS makes exactly one of the two broadcasts happen.
-		if wt.valCSent.CompareAndSwap(false, true) {
-			n.sendVal(ddp.KindValC, key, ts, sc, followers)
-		}
+		n.sendVal(ddp.KindValC, key, ts, sc, followers)
 		tc.mark(obs.PhaseVal)
 	}
 
@@ -172,7 +167,7 @@ func (n *Node) writeScoped(key ddp.Key, value []byte, sc ddp.ScopeID) error {
 // the RDLock where the model demands, send the durable VAL, retire.
 func (n *Node) finishDurable(r *kv.Record, wt *writeTxn, key ddp.Key, ts ddp.Timestamp, sc ddp.ScopeID, followers []ddp.NodeID, tc *traceCtx) error {
 	defer n.removePending(key, ts)
-	if err := n.waitPersistencyFast(wt); err != nil {
+	if err := n.waitAcks(wt, true); err != nil {
 		return err
 	}
 	tc.mark(obs.PhaseAckWait) // second ack wait: the persistency spin
@@ -217,18 +212,25 @@ const (
 	rtcPollBudget = 32
 )
 
-// waitConsistencyFast is the run-to-completion consistency wait: spin
-// on the atomic ack count, driving the transport's receive path inline
-// so the acks this coordinator is waiting for are processed on its own
-// goroutine. Falls back to the parked wait (which also understands
-// follower death) when the spin budget runs out.
+// waitAcks blocks until every live follower acknowledged the update's
+// persistency (persist) or its consistency (!persist); the persistency
+// wait is vacuous for models that do not track it. In run-to-completion
+// mode it first spins on the atomic ack count, driving the transport's
+// receive path inline so the acks this coordinator is waiting for are
+// processed on its own goroutine. It then parks on wt.cond, which also
+// understands follower death: the detector stops the wait for a
+// follower the moment it declares it failed.
 //
 //minos:hotpath
-func (n *Node) waitConsistencyFast(wt *writeTxn) error {
+func (n *Node) waitAcks(wt *writeTxn, persist bool) error {
 	if n.inline {
+		count := &wt.ackCn
+		if persist {
+			count = &wt.ackPn
+		}
 		need := int32(len(wt.followers))
 		for spin := 0; spin < rtcSpinRounds; spin++ {
-			if wt.ackCn.Load() >= need {
+			if count.Load() >= need {
 				return nil
 			}
 			// A spinning coordinator must not sit on staged VAL
@@ -239,32 +241,6 @@ func (n *Node) waitConsistencyFast(wt *writeTxn) error {
 			}
 		}
 	}
-	return n.waitConsistency(wt)
-}
-
-// waitPersistencyFast is waitConsistencyFast for the persistency acks.
-//
-//minos:hotpath
-func (n *Node) waitPersistencyFast(wt *writeTxn) error {
-	if n.inline {
-		need := int32(len(wt.followers))
-		for spin := 0; spin < rtcSpinRounds; spin++ {
-			if wt.ackPn.Load() >= need {
-				return nil
-			}
-			n.flushVals()
-			if n.poller.PollInline(rtcPollBudget) == 0 {
-				runtime.Gosched()
-			}
-		}
-	}
-	return n.waitPersistency(wt)
-}
-
-// waitConsistency blocks until every live follower acknowledged the
-// volatile update. Followers that fail mid-write stop being waited for
-// when the detector declares them.
-func (n *Node) waitConsistency(wt *writeTxn) error {
 	// Parked waiters cannot piggyback flushes; drain the stage before
 	// blocking so peers are not left waiting on our releases.
 	n.flushVals()
@@ -274,38 +250,7 @@ func (n *Node) waitConsistency(wt *writeTxn) error {
 		if n.closed.Load() {
 			return ErrClosed
 		}
-		done := true
-		for _, f := range wt.followers {
-			if !wt.txn.AckedC(f) && n.isAlive(f) {
-				done = false
-				break
-			}
-		}
-		if done {
-			return nil
-		}
-		wt.cond.Wait()
-	}
-}
-
-// waitPersistency blocks until every live follower acknowledged the
-// persist (vacuous for models that do not track persistency).
-func (n *Node) waitPersistency(wt *writeTxn) error {
-	n.flushVals()
-	wt.mu.Lock()
-	defer wt.mu.Unlock()
-	for {
-		if n.closed.Load() {
-			return ErrClosed
-		}
-		done := true
-		for _, f := range wt.followers {
-			if !wt.txn.AckedP(f) && n.isAlive(f) {
-				done = false
-				break
-			}
-		}
-		if done {
+		if n.allAcked(wt, persist) {
 			return nil
 		}
 		wt.cond.Wait()

@@ -318,12 +318,6 @@ func (p *Pipeline) onBatchSingle(key ddp.Key) {
 	p.onBatch([]ddp.Key{key}, 1)
 }
 
-// Inline reports whether the pipeline appends synchronously in the
-// caller (zero modeled latency, no drain workers). Callers use it to
-// skip continuation closures: after an inline Enqueue returns, the
-// entry is already durable.
-func (p *Pipeline) Inline() bool { return p.inline }
-
 // Enqueue submits an update without waiting for durability. If then is
 // non-nil it runs on the drain worker strictly after the batch holding
 // the update has been appended to the log — the hook used to send

@@ -4,10 +4,8 @@
 // recorder whose span taxonomy mirrors the paper's write-transaction
 // phases (Fig 2 / Fig 4).
 //
-// Before this package the runtime reported itself through three
-// mutually incompatible surfaces — transport.TransportStats,
-// sim.Kernel.Stats, and livebench.Result's ad-hoc fields — and the NVM
-// pipeline exposed nothing at all. Every one of those now implements
+// Every layer — transports, the simulation kernel, the node, the NVM
+// pipeline, the offload engine and the tracer — reports itself through
 // the single Source interface below, so "where did the microseconds
 // go" has exactly one answer shape at every layer: a Snapshot.
 //
@@ -33,9 +31,6 @@ import (
 )
 
 // Source is anything that can contribute instruments to a Snapshot.
-// It replaces the three divergent stats surfaces that predate this
-// package (transport.TransportStats, sim.Kernel.Stats, and
-// livebench.Result's transport plumbing).
 type Source interface {
 	// Describe returns the source's stable dotted name prefix (for
 	// example "transport" or "nvm.pipeline"). Every instrument the

@@ -161,13 +161,6 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Events reports how many events the kernel has executed.
 func (k *Kernel) Events() uint64 { return k.stats.Executed }
 
-// Stats returns the kernel's execution counters so far.
-//
-// Deprecated: collect the kernel into an obs.Snapshot instead (the
-// kernel implements obs.Source); the struct form remains for callers
-// that want raw fields.
-func (k *Kernel) Stats() Stats { return k.stats }
-
 // Describe implements obs.Source.
 func (k *Kernel) Describe() string { return "sim.kernel" }
 

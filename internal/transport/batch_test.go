@@ -89,6 +89,13 @@ func TestTCPPerPeerFIFO(t *testing.T) {
 	}
 	wg.Wait()
 
+	// The writer counts a batch after its socket Write returns, which can
+	// be after the receiver has already read it: wait for the count.
+	sent := func() int64 { return obs.Collect(t1).Counter("transport.frames_sent") }
+	for deadline := time.Now().Add(5 * time.Second); sent() < senders*per && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+
 	// Batching must actually have coalesced under this load — otherwise
 	// the benchmark claims are vacuous. (16 senders × 300 frames through
 	// one link virtually always batch; if this ever flakes on some

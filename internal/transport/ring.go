@@ -320,7 +320,7 @@ type RingTransport struct {
 
 var (
 	_ Transport    = (*RingTransport)(nil)
-	_ StatsSource  = (*RingTransport)(nil)
+	_ obs.Source   = (*RingTransport)(nil)
 	_ InlinePoller = (*RingTransport)(nil)
 	_ SyncEncoder  = (*RingTransport)(nil)
 )
@@ -350,7 +350,6 @@ func (t *RingTransport) SetHandler(h func(Frame)) { t.handler.Store(&h) }
 // Broadcast) — the only nesting of the two.
 //
 //minos:lockorder transport.RingTransport.encMu < transport.spscRing.pmu
-//
 //minos:hotpath
 func (t *RingTransport) Send(to ddp.NodeID, f Frame) error {
 	if t.closed.Load() {
@@ -569,11 +568,6 @@ func (t *RingTransport) pollLoop() {
 		idle = 0
 	}
 }
-
-// Stats returns a snapshot of the endpoint's counters.
-//
-// Deprecated: use Collect (obs.Source) and read the obs.Snapshot.
-func (t *RingTransport) Stats() TransportStats { return t.stats.snapshot() }
 
 // Describe implements obs.Source.
 func (t *RingTransport) Describe() string { return "transport" }

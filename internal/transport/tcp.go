@@ -67,7 +67,7 @@ type TCPTransport struct {
 }
 
 var _ Transport = (*TCPTransport)(nil)
-var _ StatsSource = (*TCPTransport)(nil)
+var _ obs.Source = (*TCPTransport)(nil)
 
 // sendBatch is one coalesced run of encoded frames awaiting one Write.
 type sendBatch struct {
@@ -228,11 +228,6 @@ func (t *TCPTransport) Peers() []ddp.NodeID {
 
 // Recv returns the inbound frame channel.
 func (t *TCPTransport) Recv() <-chan Frame { return t.rx }
-
-// Stats returns a snapshot of the transport's counters.
-//
-// Deprecated: use Collect (obs.Source) and read the obs.Snapshot.
-func (t *TCPTransport) Stats() TransportStats { return t.stats.snapshot() }
 
 // Describe implements obs.Source.
 func (t *TCPTransport) Describe() string { return "transport" }

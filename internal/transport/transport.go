@@ -129,7 +129,7 @@ type MemTransport struct {
 }
 
 var _ Transport = (*MemTransport)(nil)
-var _ StatsSource = (*MemTransport)(nil)
+var _ obs.Source = (*MemTransport)(nil)
 
 // Self returns this endpoint's node ID.
 func (t *MemTransport) Self() ddp.NodeID { return t.self }
@@ -190,11 +190,6 @@ func (t *MemTransport) Broadcast(f Frame) error {
 	}
 	return firstErr
 }
-
-// Stats returns a snapshot of the endpoint's counters.
-//
-// Deprecated: use Collect (obs.Source) and read the obs.Snapshot.
-func (t *MemTransport) Stats() TransportStats { return t.stats.snapshot() }
 
 // Describe implements obs.Source.
 func (t *MemTransport) Describe() string { return "transport" }
