@@ -2,7 +2,6 @@
 # CI (.github/workflows/ci.yml) runs exactly these targets.
 
 GO ?= go
-GOFMT ?= gofmt
 
 .PHONY: all build test race lint vet check bench-module bench-smoke bench-live bench-node bench-obs bench-offload bench-scale clean
 
@@ -27,11 +26,15 @@ race:
 lint: vet
 	$(GO) run ./cmd/minos-lint -sarif minos-lint.sarif ./...
 
-# vet also fails when gofmt would reformat any Go file outside the
-# vendored third_party/ tree.
+# vet also fails when the toolchain's gofmt would reformat, or cannot
+# parse, any Go file outside the vendored third_party/ tree (go vet
+# skips testdata, so this is the only parse check the fixtures get).
 vet:
 	$(GO) vet ./...
-	@unformatted=$$(git ls-files --cached --others --exclude-standard '*.go' | grep -v '^third_party/' | xargs $(GOFMT) -l); \
+	@files=$$(git ls-files --cached --others --exclude-standard '*.go' | grep -v '^third_party/') && [ -n "$$files" ] \
+		|| { echo "gofmt check: no Go files listed (not a git worktree?)"; exit 1; }; \
+	unformatted=$$(echo "$$files" | xargs "$$($(GO) env GOROOT)/bin/gofmt" -l 2>&1) \
+		|| { echo "gofmt failed:"; echo "$$unformatted"; exit 1; }; \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 check: lint test

@@ -66,13 +66,13 @@ func (n *Node) loopPersistOK(m Message) {
 
 // A local helper that reaches a seed is itself an evidence provider
 // (intra-package interprocedural derivation).
-func (n *Node) waitDurable(txn uint64) {
+func (n *Node) waitPersistency(txn uint64) {
 	for !n.meta.PersistencyDone(txn) {
 	}
 }
 
 func (n *Node) waitThenAckOK(m Message) {
-	n.waitDurable(7)
+	n.waitPersistency(7)
 	n.sendAck(m, KindAckP)
 }
 

@@ -479,11 +479,7 @@ func (c *kindCounter) Broadcast(f transport.Frame) error {
 func (c *kindCounter) tally() map[ddp.MsgKind]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[ddp.MsgKind]int, len(c.kinds))
-	for k, v := range c.kinds {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(c.kinds)
 }
 
 // TestPlacementsAgreeOnMessageCounts pins that offload changes only
